@@ -25,16 +25,11 @@ fn bench_campaign_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("campaign_dispatch");
     group.sample_size(10);
     let cases = [
-        ("stealing_1_thread", 1, DispatchMode::WorkStealing),
+        ("auto_1_thread", 1, DispatchMode::Auto),
         (
-            "stealing_default_threads",
+            "auto_default_threads",
             default_threads(),
-            DispatchMode::WorkStealing,
-        ),
-        (
-            "chunking_default_threads",
-            default_threads(),
-            DispatchMode::StaticChunks,
+            DispatchMode::Auto,
         ),
         (
             "batched_4_1_thread",
@@ -74,7 +69,12 @@ fn bench_campaign_dispatch_nn(c: &mut Criterion) {
     let mut group = c.benchmark_group("campaign_dispatch_nn");
     group.sample_size(10);
     let cases = [
-        ("sequential_1_thread", 1, DispatchMode::WorkStealing),
+        (
+            "auto_default_threads",
+            default_threads(),
+            DispatchMode::Auto,
+        ),
+        ("batched_1", 1, DispatchMode::Batched { batch_size: 1 }),
         ("batched_16", 1, DispatchMode::Batched { batch_size: 16 }),
         ("batched_32", 1, DispatchMode::Batched { batch_size: 32 }),
     ];

@@ -1,13 +1,15 @@
 //! Seeded campaigns: batches of runs with Table II / Fig. 6 / Fig. 7 metrics.
 
+use crate::batch::LanePool;
 use crate::runner::{AttackerSpec, RunConfig, RunOutcome};
-use crate::session::{SessionWorker, SimSession};
+use crate::session::SimSession;
 use crate::stats;
 use av_faults::FaultPlan;
 use av_simkit::scenario::ScenarioId;
 use av_telemetry::{MetricsRegistry, MetricsSnapshot, Telemetry, TraceEvent};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Why a campaign could not be executed.
@@ -190,23 +192,31 @@ impl CampaignResult {
     }
 }
 
-/// How run indices are handed to campaign workers.
+/// Widest lockstep block [`DispatchMode::Auto`] forms. Past 64 lanes the
+/// feature-major oracle activation tile outgrows L1d and per-lane in-flight
+/// state grows peak memory, so larger campaigns get more blocks per worker
+/// instead of wider ones.
+pub const MAX_AUTO_WIDTH: usize = 64;
+
+/// How a campaign's runs are grouped into lockstep blocks.
+///
+/// Every mode runs through the lockstep batch engine
+/// ([`crate::batch::LanePool`]): a block's sessions advance tick by tick off
+/// one shared scheduler and answer their safety-hijacker k-search queries as
+/// one oracle GEMM per bisection round. Workers claim blocks off an atomic
+/// counter and outcomes land in seed order. Outcomes are bit-identical for
+/// every mode, width and thread count (the differential-equivalence suite
+/// pins the digests against the sequential [`SimSession::run_with`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
-    /// Atomic-counter work stealing: every worker claims the next unclaimed
-    /// run index, so a straggling run delays only its own worker while the
-    /// rest drain the queue. The default.
+    /// The width is worked out from the campaign: one block per worker,
+    /// with more blocks per worker only where a block would exceed
+    /// [`MAX_AUTO_WIDTH`] lanes, and block sizes balanced to within one run.
+    /// The default.
     #[default]
-    WorkStealing,
-    /// Historical static partition: the seed range is split into one
-    /// contiguous chunk per worker up front. One long run stalls its whole
-    /// chunk. Kept as a comparison shim for benchmarks and regression tests.
-    StaticChunks,
-    /// Lockstep batched execution (`crate::batch`): workers claim contiguous
-    /// blocks of `batch_size` runs and advance each block's sessions in
-    /// lockstep off one shared scheduler, a structure-of-arrays world, and
-    /// batched oracle inference. Outcomes are bit-identical to the other
-    /// modes at any batch size (the differential-equivalence suite pins it).
+    Auto,
+    /// Fixed-width blocks of `batch_size` runs (`--batch N`); the last
+    /// block takes the remainder.
     Batched {
         /// Sessions advanced per lockstep block (clamped to at least 1).
         batch_size: usize,
@@ -227,8 +237,8 @@ pub fn default_threads() -> usize {
         .min(16)
 }
 
-/// Executes a campaign on exactly `threads` workers (1 = sequential) under
-/// work-stealing dispatch.
+/// Executes a campaign on exactly `threads` workers under the default
+/// dispatch ([`DispatchMode::Auto`]).
 ///
 /// # Errors
 ///
@@ -238,7 +248,24 @@ pub fn run_campaign_with_threads(
     campaign: &Campaign,
     threads: usize,
 ) -> Result<CampaignResult, CampaignError> {
-    run_campaign_dispatch(campaign, threads, DispatchMode::WorkStealing)
+    run_campaign_dispatch(campaign, threads, DispatchMode::default())
+}
+
+/// The lockstep blocks [`DispatchMode::Auto`] splits `runs` runs into for
+/// `workers` workers: `workers × per_worker` contiguous blocks, with
+/// `per_worker = ⌈runs / (workers × MAX_AUTO_WIDTH)⌉`, whose sizes differ by
+/// at most one. Every worker thus gets the same number of blocks and no
+/// block is wider than [`MAX_AUTO_WIDTH`]. `workers` is capped at `runs`,
+/// so no block is empty.
+fn auto_blocks(runs: usize, workers: usize) -> Vec<Range<usize>> {
+    if runs == 0 {
+        return Vec::new();
+    }
+    let workers = workers.clamp(1, runs);
+    let blocks = workers * runs.div_ceil(workers * MAX_AUTO_WIDTH);
+    (0..blocks)
+        .map(|b| b * runs / blocks..(b + 1) * runs / blocks)
+        .collect()
 }
 
 /// Executes a campaign on exactly `threads` workers with an explicit
@@ -257,113 +284,72 @@ pub fn run_campaign_dispatch(
         return Err(CampaignError::ZeroThreads);
     }
     let runs = usize::try_from(campaign.runs).expect("run count fits usize");
+    // Spawning more workers than runs would only create idle threads.
+    let workers = threads.min(runs).max(1);
+    let blocks: Vec<Range<usize>> = match mode {
+        DispatchMode::Auto => auto_blocks(runs, workers),
+        DispatchMode::Batched { batch_size } => {
+            let width = batch_size.max(1);
+            (0..runs)
+                .step_by(width)
+                .map(|start| start..(start + width).min(runs))
+                .collect()
+        }
+    };
+    let workers = workers.min(blocks.len()).max(1);
     // One registry per worker: workers record lock-free into their own and
     // the merge at the end is associative + commutative, so the merged
     // deterministic counters are identical for any thread count.
     let registries: Vec<Arc<MetricsRegistry>> = if campaign.collect_metrics {
-        (0..threads.max(1))
+        (0..workers)
             .map(|_| Arc::new(MetricsRegistry::new()))
             .collect()
     } else {
         Vec::new()
     };
-    let worker_telemetry = |worker: usize| -> Telemetry {
-        registries
-            .get(worker)
-            .map_or_else(Telemetry::disabled, |r| Telemetry::with_registry(r.clone()))
-    };
 
-    // Each worker keeps one long-lived SessionWorker (ADS + frame + scheduler
-    // buffers) and resets it between runs instead of rebuilding — the warmed
-    // scratch allocations survive every run the worker claims.
-    let mut outcomes: Vec<Option<RunOutcome>> = Vec::new();
-    outcomes.resize_with(runs, || None);
-    // Spawning more workers than runs would only create idle threads (and,
-    // under static chunking, the old `chunk.max(1)` misassigned seeds when
-    // threads > runs); cap the worker count at the queue length.
-    let workers = threads.min(runs);
-    // Batched dispatch replaces the per-run execution engine itself, so it
-    // engages even on the single-worker path (unlike the scheduling-only
-    // modes, which all degenerate to a plain sequential loop there).
-    if let DispatchMode::Batched { batch_size } = mode {
-        let batch_size = batch_size.max(1);
-        run_campaign_batched(
-            campaign,
-            batch_size,
-            workers.max(1),
-            &mut outcomes,
-            &worker_telemetry,
-        );
-    } else if workers <= 1 {
-        let tele = worker_telemetry(0);
-        let mut session_worker = SessionWorker::new();
-        for (i, slot) in outcomes.iter_mut().enumerate() {
-            tele.emit(0.0, || TraceEvent::CampaignRunDispatched {
-                index: i as u64,
-            });
-            *slot = Some(run_one(campaign, i as u64, &tele, &mut session_worker));
-        }
-    } else {
-        match mode {
-            DispatchMode::WorkStealing => {
-                let next = AtomicU64::new(0);
-                crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|worker| {
-                            let tele = worker_telemetry(worker);
-                            let next = &next;
-                            scope.spawn(move |_| {
-                                let mut session_worker = SessionWorker::new();
-                                let mut claimed: Vec<(usize, RunOutcome)> = Vec::new();
-                                loop {
-                                    let i = next.fetch_add(1, Ordering::Relaxed);
-                                    let Ok(i) = usize::try_from(i) else { break };
-                                    if i >= runs {
-                                        break;
-                                    }
-                                    tele.emit(0.0, || TraceEvent::CampaignRunDispatched {
-                                        index: i as u64,
-                                    });
-                                    let outcome =
-                                        run_one(campaign, i as u64, &tele, &mut session_worker);
-                                    claimed.push((i, outcome));
-                                }
-                                claimed
-                            })
-                        })
-                        .collect();
-                    // Scatter each worker's claims back into seed order; the
-                    // claim set is a partition of 0..runs, so every slot
-                    // fills exactly once.
-                    for handle in handles {
-                        for (i, outcome) in handle.join().expect("campaign worker panicked") {
-                            outcomes[i] = Some(outcome);
-                        }
-                    }
+    // Each worker keeps one LanePool (a warm SessionWorker per lane) across
+    // every block it claims, and claims blocks off a shared counter.
+    let next = AtomicUsize::new(0);
+    let work = |worker: usize| -> Vec<(usize, Vec<RunOutcome>)> {
+        let tele = registries
+            .get(worker)
+            .map_or_else(Telemetry::disabled, |r| Telemetry::with_registry(r.clone()));
+        let mut pool = LanePool::new();
+        let mut claimed = Vec::new();
+        while let Some(block) = blocks.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let sessions: Vec<SimSession> = block
+                .clone()
+                .map(|i| {
+                    let index = i as u64;
+                    tele.emit(0.0, || TraceEvent::CampaignRunDispatched { index });
+                    session_for(campaign, index, &tele)
                 })
-                .expect("campaign scope panicked");
-            }
-            DispatchMode::StaticChunks => {
-                let chunk = runs.div_ceil(workers);
-                crossbeam::thread::scope(|scope| {
-                    for (worker, slice) in outcomes.chunks_mut(chunk).enumerate() {
-                        let tele = worker_telemetry(worker);
-                        let start = worker * chunk;
-                        scope.spawn(move |_| {
-                            let mut session_worker = SessionWorker::new();
-                            for (offset, slot) in slice.iter_mut().enumerate() {
-                                let i = (start + offset) as u64;
-                                tele.emit(0.0, || TraceEvent::CampaignRunDispatched { index: i });
-                                *slot = Some(run_one(campaign, i, &tele, &mut session_worker));
-                            }
-                        });
-                    }
-                })
-                .expect("campaign worker panicked");
-            }
-            DispatchMode::Batched { .. } => unreachable!("batched dispatch handled above"),
+                .collect();
+            claimed.push((block.start, pool.run_batch(&sessions, &tele)));
         }
-    }
+        claimed
+    };
+    // Worker 0 runs on the calling thread; the rest are scoped threads.
+    let mut claimed = std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = (1..workers)
+            .map(|worker| scope.spawn(move || work(worker)))
+            .collect();
+        let mut claimed = work(0);
+        for handle in handles {
+            claimed.extend(handle.join().expect("campaign worker panicked"));
+        }
+        claimed
+    });
+    // The claimed blocks partition 0..runs; sorting by start restores seed
+    // order.
+    claimed.sort_unstable_by_key(|&(start, _)| start);
+    let outcomes: Vec<RunOutcome> = claimed
+        .into_iter()
+        .flat_map(|(_, outcomes)| outcomes)
+        .collect();
+    debug_assert_eq!(outcomes.len(), runs, "every run finished once");
 
     let metrics = registries.split_first().map(|(first, rest)| {
         for r in rest {
@@ -375,86 +361,9 @@ pub fn run_campaign_dispatch(
     Ok(CampaignResult {
         name: campaign.name.clone(),
         scenario: campaign.scenario,
-        outcomes: outcomes
-            .into_iter()
-            .map(|o| o.expect("all runs filled"))
-            .collect(),
+        outcomes,
         metrics,
     })
-}
-
-/// Executes the whole campaign through the lockstep batch engine. Workers
-/// claim contiguous blocks of `batch_size` run indices off an atomic
-/// counter (block-granular work stealing) and each block runs as one
-/// lockstep batch; outcomes scatter back into seed order.
-fn run_campaign_batched(
-    campaign: &Campaign,
-    batch_size: usize,
-    workers: usize,
-    outcomes: &mut [Option<RunOutcome>],
-    worker_telemetry: &dyn Fn(usize) -> Telemetry,
-) {
-    let runs = outcomes.len();
-    let blocks = runs.div_ceil(batch_size.max(1));
-    let workers = workers.min(blocks.max(1));
-    let run_block = |block: usize, tele: &Telemetry, pool: &mut crate::batch::LanePool| {
-        let start = block * batch_size;
-        let end = (start + batch_size).min(runs);
-        let sessions: Vec<SimSession> = (start..end)
-            .map(|i| {
-                tele.emit(0.0, || TraceEvent::CampaignRunDispatched {
-                    index: i as u64,
-                });
-                session_for(campaign, i as u64, tele)
-            })
-            .collect();
-        (start, pool.run_batch(&sessions, tele))
-    };
-    if workers <= 1 {
-        let tele = worker_telemetry(0);
-        let mut pool = crate::batch::LanePool::new();
-        for block in 0..blocks {
-            let (start, batch_outcomes) = run_block(block, &tele, &mut pool);
-            for (slot, outcome) in outcomes[start..].iter_mut().zip(batch_outcomes) {
-                *slot = Some(outcome);
-            }
-        }
-    } else {
-        let next = AtomicU64::new(0);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let tele = worker_telemetry(worker);
-                    let next = &next;
-                    let run_block = &run_block;
-                    scope.spawn(move |_| {
-                        let mut pool = crate::batch::LanePool::new();
-                        let mut claimed: Vec<(usize, Vec<RunOutcome>)> = Vec::new();
-                        loop {
-                            let block = next.fetch_add(1, Ordering::Relaxed);
-                            let Ok(block) = usize::try_from(block) else {
-                                break;
-                            };
-                            if block >= blocks {
-                                break;
-                            }
-                            claimed.push(run_block(block, &tele, &mut pool));
-                        }
-                        claimed
-                    })
-                })
-                .collect();
-            // The claimed blocks partition 0..runs, so every slot fills once.
-            for handle in handles {
-                for (start, batch_outcomes) in handle.join().expect("campaign worker panicked") {
-                    for (slot, outcome) in outcomes[start..].iter_mut().zip(batch_outcomes) {
-                        *slot = Some(outcome);
-                    }
-                }
-            }
-        })
-        .expect("campaign scope panicked");
-    }
 }
 
 /// Builds the session for run `index` of the campaign.
@@ -472,53 +381,120 @@ fn session_for(campaign: &Campaign, index: u64, telemetry: &Telemetry) -> SimSes
         .build()
 }
 
-fn run_one(
-    campaign: &Campaign,
-    index: u64,
-    telemetry: &Telemetry,
-    worker: &mut SessionWorker,
-) -> RunOutcome {
-    session_for(campaign, index, telemetry).run_with(worker)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SessionWorker;
 
-    /// Asserts that every run of `par` is bit-identical (digest equality)
-    /// and in the same seed order as `seq`.
-    fn assert_same_outcomes(seq: &CampaignResult, par: &CampaignResult, label: &str) {
-        assert_eq!(seq.outcomes.len(), par.outcomes.len(), "{label}: run count");
-        for (a, b) in seq.outcomes.iter().zip(&par.outcomes) {
-            assert_eq!(a.seed, b.seed, "{label}: seed order");
+    /// Per-seed digests from the sequential engine ([`SimSession::run_with`]),
+    /// the reference every dispatch mode must reproduce.
+    fn reference_digests(campaign: &Campaign) -> Vec<String> {
+        let mut worker = SessionWorker::new();
+        (0..campaign.runs)
+            .map(|i| {
+                session_for(campaign, i, &Telemetry::disabled())
+                    .run_with(&mut worker)
+                    .record
+                    .digest()
+            })
+            .collect()
+    }
+
+    /// Asserts that `result` holds exactly the `reference` digests, in seed
+    /// order.
+    fn assert_matches_reference(
+        campaign: &Campaign,
+        result: &CampaignResult,
+        reference: &[String],
+        label: &str,
+    ) {
+        assert_eq!(result.outcomes.len(), reference.len(), "{label}: run count");
+        for ((i, outcome), digest) in result.outcomes.iter().enumerate().zip(reference) {
             assert_eq!(
-                a.record.digest(),
-                b.record.digest(),
+                outcome.seed,
+                campaign.base_seed + i as u64,
+                "{label}: seed order"
+            );
+            assert_eq!(
+                &outcome.record.digest(),
+                digest,
                 "{label}: seed {}",
-                a.seed
+                outcome.seed
             );
         }
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let campaign = Campaign::new("test-golden", ScenarioId::Ds3, AttackerSpec::None, 4, 100);
-        let seq = run_campaign_with_threads(&campaign, 1).unwrap();
-        // Thread count must never affect results — including more workers
-        // than runs and odd counts (uneven claim distribution).
-        for threads in [1, 2, 3, 7, default_threads(), 16] {
-            let par = run_campaign_with_threads(&campaign, threads).unwrap();
-            assert_same_outcomes(&seq, &par, &format!("{threads} threads, stealing"));
-            let chunked =
-                run_campaign_dispatch(&campaign, threads, DispatchMode::StaticChunks).unwrap();
-            assert_same_outcomes(&seq, &chunked, &format!("{threads} threads, chunked"));
+    fn default_dispatch_matches_sequential_reference() {
+        // One reference over the longest campaign; the shorter campaigns
+        // share its base seed, so their references are prefixes of it.
+        let reference = reference_digests(&Campaign::new(
+            "test-default",
+            ScenarioId::Ds3,
+            AttackerSpec::None,
+            130,
+            100,
+        ));
+        for runs in [0u64, 1, 5, 130] {
+            let campaign = Campaign::new(
+                "test-default",
+                ScenarioId::Ds3,
+                AttackerSpec::None,
+                runs,
+                100,
+            );
+            for threads in [1, 2, 3] {
+                let result =
+                    run_campaign_dispatch(&campaign, threads, DispatchMode::default()).unwrap();
+                assert_matches_reference(
+                    &campaign,
+                    &result,
+                    &reference[..runs as usize],
+                    &format!("{runs} runs, {threads} threads"),
+                );
+            }
         }
     }
 
     #[test]
-    fn batched_dispatch_matches_sequential() {
+    fn auto_blocks_give_every_worker_one_block_up_to_the_width_cap() {
+        for runs in 0..=400 {
+            for threads in 1..=4 {
+                let workers = threads.min(runs);
+                let blocks = auto_blocks(runs, workers);
+                let label = format!("{runs} runs, {workers} workers");
+                // Contiguous, non-empty, and covering 0..runs exactly once.
+                let mut end = 0;
+                for block in &blocks {
+                    assert_eq!(block.start, end, "{label}: gap or overlap");
+                    assert!(!block.is_empty(), "{label}: empty block");
+                    assert!(block.len() <= MAX_AUTO_WIDTH, "{label}: block too wide");
+                    end = block.end;
+                }
+                assert_eq!(end, runs, "{label}: coverage");
+                if runs == 0 {
+                    assert!(blocks.is_empty(), "{label}");
+                    continue;
+                }
+                assert_eq!(blocks.len() % workers, 0, "{label}: uneven block count");
+                if runs <= workers * MAX_AUTO_WIDTH {
+                    assert_eq!(blocks.len(), workers, "{label}: one block per worker");
+                }
+                // Balanced: the widest block is ⌈runs / blocks⌉ lanes and
+                // the narrowest at most one lane short of it.
+                let widest = blocks.iter().map(Range::len).max().unwrap();
+                let narrowest = blocks.iter().map(Range::len).min().unwrap();
+                let per_worker = runs.div_ceil(workers * MAX_AUTO_WIDTH);
+                assert_eq!(widest, runs.div_ceil(workers * per_worker), "{label}");
+                assert!(widest - narrowest <= 1, "{label}: unbalanced");
+            }
+        }
+    }
+
+    #[test]
+    fn batched_dispatch_matches_sequential_reference() {
         let campaign = Campaign::new("test-batched", ScenarioId::Ds3, AttackerSpec::None, 5, 100);
-        let seq = run_campaign_with_threads(&campaign, 1).unwrap();
+        let reference = reference_digests(&campaign);
         // Batch sizes below, at, and above the run count; single- and
         // multi-worker block claiming.
         for batch_size in [1, 2, 5, 8] {
@@ -526,9 +502,10 @@ mod tests {
                 let batched =
                     run_campaign_dispatch(&campaign, threads, DispatchMode::Batched { batch_size })
                         .unwrap();
-                assert_same_outcomes(
-                    &seq,
+                assert_matches_reference(
+                    &campaign,
                     &batched,
+                    &reference,
                     &format!("batch {batch_size}, {threads} threads"),
                 );
             }
@@ -542,6 +519,7 @@ mod tests {
         ));
         let campaign =
             Campaign::new("faulted", ScenarioId::Ds1, AttackerSpec::None, 3, 500).with_faults(plan);
+        let reference = reference_digests(&campaign);
         let seq = run_campaign_with_threads(&campaign, 1).unwrap();
         assert!(
             seq.outcomes
@@ -549,8 +527,9 @@ mod tests {
                 .any(|o| o.faults.camera_frames_dropped > 0),
             "the fault plan must actually fire"
         );
+        assert_matches_reference(&campaign, &seq, &reference, "faulted, 1 thread");
         let par = run_campaign_with_threads(&campaign, 8).unwrap();
-        assert_same_outcomes(&seq, &par, "faulted, 8 threads");
+        assert_matches_reference(&campaign, &par, &reference, "faulted, 8 threads");
         for (a, b) in seq.outcomes.iter().zip(&par.outcomes) {
             assert_eq!(a.faults, b.faults, "fault schedule, seed {}", a.seed);
         }

@@ -1057,7 +1057,7 @@ pub fn request_args(req: &EvalRequest, base: &Args) -> Args {
         no_cache: base.no_cache,
         dispatch: match req.batch {
             Some(batch_size) => DispatchMode::Batched { batch_size },
-            None => DispatchMode::WorkStealing,
+            None => DispatchMode::Auto,
         },
     }
 }

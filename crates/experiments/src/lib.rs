@@ -10,8 +10,8 @@
 //! - [`runner`]: the run-level types (configuration, attacker spec,
 //!   outcome); [`SimSession`] is the only entry point for executing a run.
 //! - [`campaign`]: seeded batches of runs with the Table II / Fig. 6 / Fig. 7
-//!   metrics, parallelized with crossbeam; per-worker metrics registries are
-//!   merged into the campaign result.
+//!   metrics, run in lockstep blocks ([`batch`]) on scoped worker threads;
+//!   per-worker metrics registries are merged into the campaign result.
 //! - [`prelude`]: one-stop imports for experiment binaries.
 //! - [`train_sh`]: the safety-hijacker training pipeline (§IV-B) — δ_inject/k
 //!   sweeps to collect the ADS-response dataset, then Adam training of the

@@ -292,6 +292,13 @@ impl RunState {
             seed: config.seed,
         });
 
+        // Sized once for a full-length run; `finish` trims it when the run
+        // halts early, so retained records carry no growth slack.
+        let mut record = RunRecord::new();
+        record
+            .samples
+            .reserve_exact(planner_samples(scenario_steps(&scenario)));
+
         RunState {
             frame: std::mem::take(&mut worker.frame),
             config,
@@ -307,7 +314,7 @@ impl RunState {
             lidar: Lidar::default(),
             gps: GpsImu::default(),
             ids,
-            record: RunRecord::new(),
+            record,
             seq: 0,
             collided: false,
             attack_seen: false,
@@ -329,7 +336,7 @@ impl RunState {
 
     /// Number of 30 Hz physics ticks in the scenario.
     pub(crate) fn total_steps(&self) -> u64 {
-        (self.scenario.duration / SIM_DT).ceil() as u64
+        scenario_steps(&self.scenario)
     }
 
     /// This run's telemetry handle.
@@ -595,6 +602,15 @@ impl RunState {
                 .any(|(t, e)| *e == Event::EmergencyBrake && *t >= t0 - 1e-9)
         });
         let eb_any = self.record.has_event(Event::EmergencyBrake);
+        if self.collided {
+            // A run that halted early filled only part of its reservation.
+            self.record.samples.shrink_to_fit();
+        }
+        debug_assert_eq!(
+            self.record.samples.len(),
+            self.record.samples.capacity(),
+            "sample buffer regrew or kept slack"
+        );
 
         let samples = self.record.samples.len() as u64;
         self.tele.emit(world.time(), || TraceEvent::RunFinished {
@@ -711,6 +727,25 @@ impl SimSession {
 
         worker.fired = fired;
         state.finish(&world, worker)
+    }
+}
+
+/// Number of 30 Hz physics ticks in `scenario`.
+fn scenario_steps(scenario: &Scenario) -> u64 {
+    (scenario.duration / SIM_DT).ceil() as u64
+}
+
+/// Planner samples a run of `steps` physics ticks records unless it halts
+/// early. The planner fires at t = 0 and then once per whole period the
+/// engine clock reaches; a tick is shorter than the period, so no period is
+/// skipped. Both clocks round to whole microseconds exactly as
+/// `World::step` and `Scheduler::add_task_hz` do.
+fn planner_samples(steps: u64) -> usize {
+    let tick_us = (SIM_DT * 1e6).round() as u64;
+    let period_us = (1e6 / PLANNER_HZ).round() as u64;
+    match steps {
+        0 => 0,
+        n => usize::try_from((n - 1) * tick_us / period_us + 1).expect("sample count fits usize"),
     }
 }
 
@@ -831,6 +866,56 @@ fn perceived_in_path_delta(ads: &Ads, safety: &SafetyConfig) -> Option<f64> {
 mod tests {
     use super::*;
     use av_telemetry::{EventKind, RingBufferSink, SharedSink};
+
+    #[test]
+    fn sample_buffer_is_sized_once_without_slack() {
+        let mut sessions: Vec<SimSession> = [
+            ScenarioId::Ds1,
+            ScenarioId::Ds2,
+            ScenarioId::Ds3,
+            ScenarioId::Ds4,
+            ScenarioId::Ds5,
+        ]
+        .into_iter()
+        .map(|scenario| SimSession::builder(scenario).seed(7).build())
+        .collect();
+        // A timed Disappear attack that runs the EV into the pedestrian.
+        sessions.push(
+            SimSession::builder(ScenarioId::Ds2)
+                .seed(1)
+                .attacker(AttackerSpec::AtDelta {
+                    vector: Some(AttackVector::Disappear),
+                    delta_inject: 30.0,
+                    k: 60,
+                })
+                .build(),
+        );
+        let sequential: Vec<RunOutcome> = sessions.iter().map(SimSession::run).collect();
+        let batched = crate::batch::LanePool::new().run_batch(&sessions, &Telemetry::disabled());
+        assert!(
+            sequential.last().is_some_and(|o| o.collided),
+            "the attack must collide"
+        );
+        for (engine, outcomes) in [("sequential", &sequential), ("batched", &batched)] {
+            for out in outcomes {
+                let samples = &out.record.samples;
+                let label = format!("{engine} {:?} seed {}", out.scenario, out.seed);
+                assert_eq!(
+                    samples.len(),
+                    samples.capacity(),
+                    "{label}: slack or regrowth"
+                );
+                if !out.collided {
+                    let steps = scenario_steps(&Scenario::build(out.scenario, out.seed));
+                    assert_eq!(
+                        samples.len(),
+                        planner_samples(steps),
+                        "{label}: sample count"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn golden_ds1_is_safe() {

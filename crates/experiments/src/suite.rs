@@ -39,8 +39,10 @@ pub struct Args {
     pub cache_dir: Option<PathBuf>,
     /// Disable the oracle cache entirely (`--no-cache`).
     pub no_cache: bool,
-    /// Campaign dispatch mode (`--batch N` selects the lockstep batch
-    /// engine with N-session blocks; default is work stealing).
+    /// How campaign runs are grouped into lockstep blocks: by default
+    /// ([`DispatchMode::Auto`]) one block per worker of at most
+    /// [`crate::campaign::MAX_AUTO_WIDTH`] lanes; `--batch N` fixes the
+    /// block width at N sessions.
     pub dispatch: DispatchMode,
 }
 
@@ -52,7 +54,7 @@ impl Default for Args {
             seed: 2020,
             cache_dir: None,
             no_cache: false,
-            dispatch: DispatchMode::WorkStealing,
+            dispatch: DispatchMode::Auto,
         }
     }
 }
@@ -317,12 +319,9 @@ impl SuiteArgs {
             runs: self.base.runs,
             quick: self.base.quick,
             seed: self.base.seed,
-            // The wire API models the two CLI-reachable modes; the
-            // historical static-chunks shim (benchmark-only) maps to the
-            // default.
             batch: match self.base.dispatch {
                 DispatchMode::Batched { batch_size } => Some(batch_size),
-                DispatchMode::WorkStealing | DispatchMode::StaticChunks => None,
+                DispatchMode::Auto => None,
             },
             jobs: self.jobs,
             priority: self.priority,

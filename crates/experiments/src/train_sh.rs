@@ -90,9 +90,9 @@ pub fn collect_dataset(scenario: ScenarioId, vector: AttackVector, sweep: &Sweep
         }
     }
 
-    // Parallel collection: the same work-stealing dispatch as campaigns —
-    // workers claim cells off an atomic queue and keep one long-lived
-    // SessionWorker each, so the warmed ADS/frame buffers survive the sweep.
+    // Parallel collection: work stealing over cells — workers claim cells
+    // off an atomic queue and keep one long-lived SessionWorker each, so
+    // the warmed ADS/frame buffers survive the sweep.
     let run_cell = |worker: &mut SessionWorker, (delta_inject, k, seed): (f64, u32, u64)| {
         let outcome = SimSession::builder(scenario)
             .seed(seed)
@@ -116,11 +116,11 @@ pub fn collect_dataset(scenario: ScenarioId, vector: AttackVector, sweep: &Sweep
         }
     } else {
         let next = AtomicU64::new(0);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let (next, cells, run_cell) = (&next, &cells, &run_cell);
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let mut session_worker = SessionWorker::new();
                         let mut claimed: Vec<(usize, Option<Example>)> = Vec::new();
                         loop {
@@ -139,8 +139,7 @@ pub fn collect_dataset(scenario: ScenarioId, vector: AttackVector, sweep: &Sweep
                     rows[i] = example;
                 }
             }
-        })
-        .expect("dataset scope panicked");
+        });
     }
 
     Dataset::from_rows(rows.into_iter().flatten())

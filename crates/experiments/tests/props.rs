@@ -22,34 +22,21 @@ fn dispatch_campaign() -> Campaign {
     Campaign::new("prop-dispatch", ScenarioId::Ds1, AttackerSpec::None, 5, 40)
 }
 
-/// All three dispatch modes, parameterized by a drawn batch size (ignored
-/// by the non-batched modes).
+/// Both dispatch modes, parameterized by a drawn batch size (ignored by
+/// the auto-width mode).
 fn dispatch_mode(selector: u8, batch_size: usize) -> DispatchMode {
-    match selector % 3 {
-        0 => DispatchMode::WorkStealing,
-        1 => DispatchMode::StaticChunks,
+    match selector % 2 {
+        0 => DispatchMode::Auto,
         _ => DispatchMode::Batched { batch_size },
     }
-}
-
-/// Deterministic telemetry counters with the engine-level `batch_*` events
-/// removed: their counts depend on the batch size by design (documented on
-/// the `TraceEvent::BatchStepped` / `BatchOracleInference` variants), while
-/// everything else must be invariant across threads and dispatch modes.
-fn invariant_counts(metrics: &MetricsSnapshot) -> Vec<(&'static str, u64)> {
-    metrics
-        .deterministic_counts()
-        .into_iter()
-        .filter(|(name, _)| !name.starts_with("batch_"))
-        .collect()
 }
 
 /// (launched, EB, crashes, invariant telemetry counts) — the summary every
 /// dispatch mode must reproduce.
 type MetricsBaseline = (usize, usize, usize, Vec<(&'static str, u64)>);
 
-/// Sequential (1-thread) campaign summary + merged telemetry baseline,
-/// computed once for all cases.
+/// Single-worker default-dispatch campaign summary + merged telemetry
+/// baseline, computed once for all cases.
 fn metrics_baseline() -> &'static MetricsBaseline {
     static BASELINE: OnceLock<MetricsBaseline> = OnceLock::new();
     BASELINE.get_or_init(|| {
@@ -60,20 +47,27 @@ fn metrics_baseline() -> &'static MetricsBaseline {
             result.n_launched(),
             result.eb().0,
             result.crashes().0,
-            invariant_counts(metrics),
+            metrics.deterministic_counts(),
         )
     })
 }
 
-/// Sequential (1-thread) per-run digests, computed once for all cases.
+/// Per-run digests from the sequential engine (`SimSession::run_with`),
+/// computed once for all cases.
 fn sequential_digests() -> &'static [String] {
     static BASELINE: OnceLock<Vec<String>> = OnceLock::new();
     BASELINE.get_or_init(|| {
-        run_campaign_with_threads(&dispatch_campaign(), 1)
-            .expect("one thread is valid")
-            .outcomes
-            .iter()
-            .map(|o| o.record.digest())
+        let campaign = dispatch_campaign();
+        let mut worker = SessionWorker::new();
+        (0..campaign.runs)
+            .map(|i| {
+                SimSession::builder(campaign.scenario)
+                    .seed(campaign.base_seed + i)
+                    .build()
+                    .run_with(&mut worker)
+                    .record
+                    .digest()
+            })
             .collect()
     })
 }
@@ -164,7 +158,7 @@ proptest! {
     }
 
     #[test]
-    fn work_stealing_digests_are_thread_count_invariant(threads in 1usize..33, selector in any::<u8>(), batch_size in 1usize..9) {
+    fn dispatch_digests_are_thread_count_invariant(threads in 1usize..33, selector in any::<u8>(), batch_size in 1usize..9) {
         let mode = dispatch_mode(selector, batch_size);
         let result = run_campaign_dispatch(&dispatch_campaign(), threads, mode)
             .expect("nonzero thread count");
@@ -183,7 +177,7 @@ proptest! {
         prop_assert_eq!(result.eb().0, *eb, "threads={} mode={:?}", threads, mode);
         prop_assert_eq!(result.crashes().0, *crashes, "threads={} mode={:?}", threads, mode);
         prop_assert_eq!(
-            &invariant_counts(metrics),
+            &metrics.deterministic_counts(),
             counts,
             "merged telemetry drifted: threads={} mode={:?}", threads, mode
         );

@@ -29,7 +29,7 @@ fn quick_args(store_dir: &Path) -> Args {
         seed: 2020,
         cache_dir: Some(store_dir.to_path_buf()),
         no_cache: false,
-        dispatch: DispatchMode::WorkStealing,
+        dispatch: DispatchMode::Auto,
     }
 }
 

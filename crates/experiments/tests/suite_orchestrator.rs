@@ -24,7 +24,7 @@ fn quick_args() -> Args {
         seed: 2020,
         cache_dir: None,
         no_cache: false,
-        dispatch: av_experiments::campaign::DispatchMode::WorkStealing,
+        dispatch: av_experiments::campaign::DispatchMode::Auto,
     }
 }
 

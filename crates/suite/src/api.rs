@@ -365,8 +365,8 @@ pub struct EvalRequest {
     pub quick: bool,
     /// Base RNG seed.
     pub seed: u64,
-    /// Lockstep batched dispatch with this batch size; `None` = sequential
-    /// work-stealing.
+    /// Fixed lockstep block width (`--batch N`); `None` = the default
+    /// auto width (one block per campaign worker).
     pub batch: Option<usize>,
     /// DAG executor workers for this request (capped by the daemon).
     pub jobs: usize,

@@ -402,11 +402,11 @@ pub fn execute(dag: &Dag, opts: &ExecOptions) -> Result<RunReport, ExecError> {
     let work_available = Condvar::new();
 
     if outstanding > 0 {
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..workers {
                 let (pool, work_available, dag, dependents, opts) =
                     (&pool, &work_available, dag, &dependents, opts);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     loop {
                         let i = {
                             let mut state = pool.lock().expect("pool lock");
@@ -478,8 +478,7 @@ pub fn execute(dag: &Dag, opts: &ExecOptions) -> Result<RunReport, ExecError> {
                     }
                 });
             }
-        })
-        .expect("suite worker pool panicked");
+        });
     }
 
     let state = pool.into_inner().expect("pool lock");

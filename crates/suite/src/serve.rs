@@ -21,8 +21,8 @@
 //!   bad input. Shutdown is explicit: the `{"shutdown":true}` sentinel (or
 //!   stdin EOF) stops admission, drains queued requests, and returns.
 //!
-//! Everything is std-only threads over the vendored `crossbeam::scope` —
-//! no async runtime. Per-request event ordering is guaranteed (one writer
+//! Everything is scoped std threads (`std::thread::scope`), with no async
+//! runtime. Per-request event ordering is guaranteed (one writer
 //! mutex per client); cross-request interleaving is not, which is why every
 //! event carries its request id.
 
@@ -346,10 +346,10 @@ pub fn serve_lines<R: BufRead>(
     let errors = AtomicU64::new(0);
     let next_id = AtomicU64::new(0);
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..opts.request_slots.max(1) {
             let (queue, requests, errors) = (&queue, &requests, &errors);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 while let Some(work) = queue.pop() {
                     requests.fetch_add(1, Ordering::Relaxed);
                     if !run_request(service, opts, work) {
@@ -365,8 +365,7 @@ pub fn serve_lines<R: BufRead>(
             }
         }
         queue.close();
-    })
-    .expect("serve request slots panicked");
+    });
 
     ServeReport {
         requests: requests.load(Ordering::Relaxed),
@@ -395,10 +394,10 @@ pub fn serve_unix(
     let shutdown = AtomicBool::new(false);
     let open_connections = AtomicU64::new(0);
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..opts.request_slots.max(1) {
             let (queue, requests, errors) = (&queue, &requests, &errors);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 while let Some(work) = queue.pop() {
                     requests.fetch_add(1, Ordering::Relaxed);
                     if !run_request(service, opts, work) {
@@ -418,7 +417,7 @@ pub fn serve_unix(
                     open_connections.fetch_add(1, Ordering::SeqCst);
                     let (queue, errors, next_id, shutdown, open_connections) =
                         (&queue, &errors, &next_id, &shutdown, &open_connections);
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         for line in BufReader::new(stream).lines() {
                             let Ok(line) = line else { break };
                             if admit_line(&line, &writer, queue, next_id, errors) {
@@ -442,8 +441,7 @@ pub fn serve_unix(
             std::thread::sleep(Duration::from_millis(10));
         }
         queue.close();
-    })
-    .expect("serve request slots panicked");
+    });
 
     let _ = std::fs::remove_file(path);
     Ok(ServeReport {
@@ -917,17 +915,17 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("scratch dir");
         let socket = dir.join("suite.sock");
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let server = scope.spawn({
                 let socket = socket.clone();
-                move |_| serve_unix(&socket, &ToyService, &ServeOptions::default())
+                move || serve_unix(&socket, &ToyService, &ServeOptions::default())
             });
 
             let timeout = Duration::from_secs(10);
             let clients: Vec<_> = (0..2)
                 .map(|i| {
                     let socket = socket.clone();
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let req = EvalRequest {
                             id: format!("client-{i}"),
                             only: vec!["sleep:3".into()],
@@ -962,8 +960,7 @@ mod tests {
                     errors: 0
                 }
             );
-        })
-        .expect("socket test threads");
+        });
 
         assert!(!socket.exists(), "socket file removed on shutdown");
         let _ = std::fs::remove_dir_all(&dir);

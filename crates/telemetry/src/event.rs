@@ -177,8 +177,8 @@ pub enum TraceEvent {
     /// The lockstep batch engine advanced all live sessions by one tick.
     ///
     /// Engine-level bookkeeping: its count depends on the batch size, so it
-    /// is excluded (by its `batch_` name prefix) from the cross-dispatch
-    /// telemetry-invariance contract that per-run events obey.
+    /// is excluded from the cross-dispatch telemetry-invariance contract
+    /// (`MetricsSnapshot::deterministic_counts`) that per-run events obey.
     BatchStepped {
         /// Sessions still live in the batch this tick.
         lanes: u32,
@@ -270,6 +270,16 @@ impl EventKind {
     /// Dense index of this kind.
     pub fn index(self) -> usize {
         self as usize
+    }
+
+    /// Whether this kind's count depends on the lockstep batch width rather
+    /// than on the runs alone — the engine-level batch events, which
+    /// `MetricsSnapshot::deterministic_counts` leaves out.
+    pub(crate) fn depends_on_batch_width(self) -> bool {
+        matches!(
+            self,
+            EventKind::BatchStepped | EventKind::BatchOracleInference
+        )
     }
 
     /// Stable snake_case name — the `"type"` field of the JSONL schema.

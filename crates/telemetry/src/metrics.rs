@@ -235,14 +235,22 @@ impl MetricsSnapshot {
     }
 
     /// The deterministic projection of this snapshot: every counter that
-    /// must be identical across thread counts and hosts (stage invocation
-    /// counts and event counts — no wall-clock durations). Two campaign
-    /// executions of the same workload must agree on this value exactly.
+    /// must be identical across thread counts, batch widths and hosts
+    /// (stage invocation counts and event counts — no wall-clock durations,
+    /// and none of the engine-level [`TraceEvent::BatchStepped`] /
+    /// [`TraceEvent::BatchOracleInference`] counts, which follow the width).
+    /// Two campaign executions of the same workload must agree on this
+    /// value exactly.
     pub fn deterministic_counts(&self) -> Vec<(&'static str, u64)> {
         self.stages
             .iter()
             .map(|s| (s.stage.name(), s.count))
-            .chain(self.events.iter().map(|(k, n)| (k.name(), *n)))
+            .chain(
+                self.events
+                    .iter()
+                    .filter(|(k, _)| !k.depends_on_batch_width())
+                    .map(|(k, n)| (k.name(), *n)),
+            )
             .collect()
     }
 
@@ -377,6 +385,26 @@ mod tests {
     }
 
     #[test]
+    fn deterministic_counts_exclude_batch_width_events() {
+        let narrow = MetricsRegistry::new();
+        let wide = MetricsRegistry::new();
+        for r in [&narrow, &wide] {
+            r.count_event(&TraceEvent::Collision);
+        }
+        // Two lockstep blocks of one lane vs one block of two lanes.
+        for _ in 0..2 {
+            narrow.count_event(&TraceEvent::BatchStepped { lanes: 1 });
+            narrow.count_event(&TraceEvent::BatchOracleInference { queries: 1 });
+        }
+        wide.count_event(&TraceEvent::BatchStepped { lanes: 2 });
+        wide.count_event(&TraceEvent::BatchOracleInference { queries: 2 });
+        let counts = narrow.snapshot().deterministic_counts();
+        assert_eq!(counts, wide.snapshot().deterministic_counts());
+        assert!(counts.contains(&("collision", 1)));
+        assert!(counts.iter().all(|(name, _)| !name.starts_with("batch_")));
+    }
+
+    #[test]
     fn timer_records_on_drop_and_noop_is_free() {
         let registry = Arc::new(MetricsRegistry::new());
         {
@@ -392,23 +420,16 @@ mod tests {
 
     #[test]
     fn concurrent_recording_loses_nothing() {
-        let registry = Arc::new(MetricsRegistry::new());
-        crossbeam_scope(&registry);
+        let registry = MetricsRegistry::new();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for i in 0..1000u64 {
+                        registry.record_duration(Stage::WorldStep, i);
+                    }
+                });
+            }
+        });
         assert_eq!(registry.stage(Stage::WorldStep).count(), 4 * 1000);
-    }
-
-    fn crossbeam_scope(registry: &Arc<MetricsRegistry>) {
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let r = registry.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..1000u64 {
-                    r.record_duration(Stage::WorldStep, i);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
     }
 }

@@ -1,9 +1,11 @@
 //! Batch-size sweep for the lockstep batch engine.
 //!
 //! Times the NN-oracle RoboTack campaign (the paper's primary workload, and
-//! the one cross-session GEMM batching accelerates) under sequential dispatch
-//! and `DispatchMode::Batched` at several batch sizes, asserting along the way
-//! that every per-run digest is bit-identical to the sequential engine.
+//! the one cross-session GEMM batching accelerates) on the sequential engine
+//! (`SimSession::run_with`, one run at a time), under the default
+//! auto-width dispatch and under `DispatchMode::Batched` at several batch
+//! sizes, asserting along the way that every per-run digest is
+//! bit-identical to the sequential engine.
 //!
 //! This regenerates the `batched_campaign` section of `BENCH_suite.json`:
 //!
@@ -42,17 +44,42 @@ fn campaign() -> Campaign {
     )
 }
 
-/// Best-of-`REPS` wall-clock for one dispatch mode, plus the run digests.
-fn time_mode(campaign: &Campaign, mode: DispatchMode) -> (f64, Vec<String>) {
+/// Best-of-`REPS` wall-clock of `run`, plus the run digests it returns.
+fn best_of(mut run: impl FnMut() -> Vec<RunOutcome>) -> (f64, Vec<String>) {
     let mut best = f64::INFINITY;
     let mut digests = Vec::new();
     for _ in 0..REPS {
         let t0 = Instant::now();
-        let result = run_campaign_dispatch(campaign, 1, mode).expect("one thread is nonzero");
+        let outcomes = run();
         best = best.min(t0.elapsed().as_secs_f64());
-        digests = result.outcomes.iter().map(|o| o.record.digest()).collect();
+        digests = outcomes.iter().map(|o| o.record.digest()).collect();
     }
     (best, digests)
+}
+
+/// Best-of-`REPS` wall-clock for one dispatch mode on one thread.
+fn time_mode(campaign: &Campaign, mode: DispatchMode) -> (f64, Vec<String>) {
+    best_of(|| {
+        run_campaign_dispatch(campaign, 1, mode)
+            .expect("one thread is nonzero")
+            .outcomes
+    })
+}
+
+/// Best-of-`REPS` wall-clock for the sequential engine, one run at a time.
+fn time_sequential(campaign: &Campaign) -> (f64, Vec<String>) {
+    best_of(|| {
+        let mut worker = SessionWorker::new();
+        (0..campaign.runs)
+            .map(|i| {
+                SimSession::builder(campaign.scenario)
+                    .seed(campaign.base_seed + i)
+                    .attacker(campaign.attacker.clone())
+                    .build()
+                    .run_with(&mut worker)
+            })
+            .collect()
+    })
 }
 
 fn main() {
@@ -60,7 +87,7 @@ fn main() {
     let campaign = campaign();
 
     println!("timing the {RUNS}-run DS-1 NN campaign (best of {REPS}, 1 thread):\n");
-    let (seq_s, seq_digests) = time_mode(&campaign, DispatchMode::WorkStealing);
+    let (seq_s, seq_digests) = time_sequential(&campaign);
     println!(
         "{:<14} {:>9.1} ms {:>8}",
         "sequential",
@@ -68,15 +95,23 @@ fn main() {
         "1.00x"
     );
 
-    for batch_size in [4usize, 8, 16, 32, 64] {
-        let (s, digests) = time_mode(&campaign, DispatchMode::Batched { batch_size });
+    let modes = [("auto".to_string(), DispatchMode::Auto)]
+        .into_iter()
+        .chain([4usize, 8, 16, 32, 64].map(|batch_size| {
+            (
+                format!("batched_{batch_size}"),
+                DispatchMode::Batched { batch_size },
+            )
+        }));
+    for (name, mode) in modes {
+        let (s, digests) = time_mode(&campaign, mode);
         assert_eq!(
             digests, seq_digests,
-            "batch_size={batch_size}: digests diverged from sequential"
+            "{name}: digests diverged from sequential"
         );
         println!(
             "{:<14} {:>9.1} ms {:>7.2}x   digests identical",
-            format!("batched_{batch_size}"),
+            name,
             s * 1e3,
             seq_s / s
         );
